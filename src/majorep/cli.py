@@ -65,12 +65,6 @@ def _as_symmetric(state) -> SymmetricState:
     return sym
 
 
-def _workers(args) -> int | None:
-    import os
-
-    return os.cpu_count() if getattr(args, "parallel", False) else None
-
-
 def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -190,9 +184,7 @@ def cmd_reconstruct(args) -> int:
 
     rho_a = _load_density(args.rho_a)
     rho_b = _load_density(args.rho_b)
-    result = reconstruct_from_two_marginals(
-        rho_a, rho_b, restarts=args.restarts, seed=args.seed, workers=_workers(args)
-    )
+    result = reconstruct_from_two_marginals(rho_a, rho_b)
     if result.is_ambiguous:
         print("AMBIGUOUS")
     else:
@@ -210,9 +202,7 @@ def cmd_falsify(args) -> int:
     for spec_part in args.marginals.split(";"):
         keep = tuple(int(q) for q in spec_part.split(",") if q.strip())
         targets.append((keep, rdm_full(full, keep)))
-    matches = marginal_match_search(
-        targets, full.n, restarts=args.restarts, seed=args.seed, workers=_workers(args)
-    )
+    matches = marginal_match_search(targets, full.n, restarts=args.restarts, seed=args.seed)
     _emit({"matches": [serialize.state_to_dict(m) for m in matches]})
     return EXIT_OK
 
@@ -221,9 +211,7 @@ def cmd_entangle(args) -> int:
     from .geomeasure import geometric_measure
 
     state = _as_symmetric(_load_state(args.state))
-    report = geometric_measure(
-        state, grid=args.grid, restarts=args.restarts, workers=_workers(args)
-    )
+    report = geometric_measure(state, grid=args.grid, restarts=args.restarts)
     _emit(serialize.report_to_dict(report))
     return EXIT_OK
 
@@ -260,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for stochastic steps")
     common.add_argument("--grid", type=int, default=64, help="landscape grid resolution")
     common.add_argument("--restarts", type=int, default=16, help="multistart count")
-    common.add_argument("--parallel", action="store_true",
-                        help="run multistart and grid work on all cores")
 
     parser = argparse.ArgumentParser(
         prog="majorep",

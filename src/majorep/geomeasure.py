@@ -119,13 +119,11 @@ def geometric_measure(
     grid: int = GRID_DEFAULT,
     restarts: int = 8,
     keep_landscape: bool = False,
-    workers: int | None = None,
 ) -> EntanglementReport:
     """Geometric entanglement report with all closest product points found.
 
     ``restarts`` caps the number of top grid cells refined (Majorana points
-    and their antipodes are always used as extra seeds); ``workers`` > 1
-    refines seeds concurrently.
+    and their antipodes are always used as extra seeds).
     """
     from scipy import optimize
 
@@ -161,13 +159,7 @@ def geometric_measure(
                 value, point = pole_value, CoherentPoint(0.0, pole)
         return value, point
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            candidates = list(pool.map(refine, seeds))
-    else:
-        candidates = [refine(seed) for seed in seeds]
+    candidates = [refine(seed) for seed in seeds]
     candidates.append((float(f_grid.max()), _grid_argmax(f_grid, alphas, betas)))
 
     f_max = max(v for v, _ in candidates)

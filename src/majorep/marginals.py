@@ -2,8 +2,10 @@
 
 The two-distinct-spinor family and its non-symmetric generalization have
 rank-2 marginals over any N-1 qubits, which makes a whole-state search
-tractable: purify the first marginal with a single ancilla qubit, then fit
-the residual 2x2 unitary gauge on the ancilla against the second marginal.
+tractable: purify the first marginal with a single ancilla qubit, then pick
+the residual 2x2 unitary gauge on the ancilla that matches the second
+marginal.  That match is a quadratic form in the gauge, so the best gauges
+are the top eigenvectors of a 4x4 matrix.
 """
 
 from __future__ import annotations
@@ -208,70 +210,53 @@ class ReconstructionResult:
 
     ``status`` is "unique" or "ambiguous"; ``candidates`` holds one
     representative per distinct compatible state, best residual first.
+    ``gauge_gap`` is the gap between the two largest eigenvalues of the gauge
+    form; zero means a continuum of gauges fits equally well.
     """
 
     status: str
     state: FullState | None
     candidates: tuple
     residual: float
+    gauge_gap: float
 
     @property
     def is_ambiguous(self) -> bool:
         return self.status == "ambiguous"
 
 
-def _gauge_unitary(params) -> np.ndarray:
-    gamma, theta, phi, psi = params
-    ct, st = math.cos(theta), math.sin(theta)
-    ephi = complex(math.cos(phi), math.sin(phi))
-    epsi = complex(math.cos(psi), math.sin(psi))
-    egam = complex(math.cos(gamma), math.sin(gamma))
-    return egam * np.array(
-        [
-            [ct * ephi, st * epsi],
-            [-st / epsi, ct / ephi],
-        ]
-    )
-
-
-def _gauge_unitary_and_grads(params):
-    """Gauge unitary and its four parameter derivatives."""
-    gamma, theta, phi, psi = params
-    ct, st = math.cos(theta), math.sin(theta)
-    ephi = complex(math.cos(phi), math.sin(phi))
-    epsi = complex(math.cos(psi), math.sin(psi))
-    egam = complex(math.cos(gamma), math.sin(gamma))
-    base = np.array([[ct * ephi, st * epsi], [-st / epsi, ct / ephi]])
-    u = egam * base
-    du_gamma = 1j * u
-    du_theta = egam * np.array([[-st * ephi, ct * epsi], [-ct / epsi, -st / ephi]])
-    du_phi = egam * np.array([[1j * ct * ephi, 0.0], [0.0, -1j * ct / ephi]])
-    du_psi = egam * np.array([[0.0, 1j * st * epsi], [1j * st / epsi, 0.0]])
-    return u, (du_gamma, du_theta, du_phi, du_psi)
+# U.ravel() = _SU2_BASIS @ q for U = [[a, b], [-conj(b), conj(a)]] and
+# q = (Re a, Im a, Re b, Im b) on the unit three-sphere
+_SU2_BASIS = np.array(
+    [
+        [1, 1j, 0, 0],
+        [0, 0, 1, 1j],
+        [0, 0, -1, 1j],
+        [1, -1j, 0, 0],
+    ]
+)
 
 
 def reconstruct_from_two_marginals(
     rho_a: DensityMatrix,
     rho_b: DensityMatrix,
-    restarts: int = 16,
     fit_tol: float = 1e-7,
     rank_tol: float = 1e-8,
     distinct_tol: float = 1e-6,
-    seed: int | None = 0,
-    workers: int | None = None,
+    seed: int | None = None,
 ) -> ReconstructionResult:
     """Search for an n-qubit pure state with the two given (n-1)-qubit marginals.
 
     ``rho_a`` covers qubits 1..n-1 and ``rho_b`` qubits 2..n.  The first
     marginal must have rank at most 2; its purification by one ancilla qubit
-    is then unique up to a 2x2 unitary on the ancilla, and that gauge (two
-    angles, two phases) is fitted to the second marginal by multistart
-    quasi-Newton least squares.  Distinct fits below tolerance mean the
-    marginals do not pin the state down (GHZ-type inputs).  ``workers`` > 1
-    runs the restarts concurrently.
+    is then unique up to a 2x2 unitary on the ancilla.  The mismatch with the
+    second marginal is a fixed quadratic form in that gauge, so the best
+    gauges are the top eigenvectors of a real symmetric 4x4 matrix; every
+    eigenvector within ``fit_tol`` of the second marginal is a candidate.
+    Distinct candidates mean the marginals do not pin the state down
+    (GHZ-type inputs), which a degenerate top eigenvalue certifies.  The
+    search is deterministic: ``seed`` is accepted and ignored.
     """
-    from scipy import optimize
-
     rho_a = to_computational(rho_a)
     rho_b = to_computational(rho_b)
     if rho_a.k != rho_b.k:
@@ -288,67 +273,41 @@ def reconstruct_from_two_marginals(
     v = evecs[:, :2]
     target = rho_b.mat
 
-    def amplitudes(params):
-        u = _gauge_unitary(params)
+    def amplitudes(q):
+        u = (_SU2_BASIS @ q).reshape(2, 2)
         return (v * lam) @ u.T
 
-    def exact_residual(params):
-        amp = amplitudes(params).reshape(2, dim)
+    def exact_residual(q):
+        amp = amplitudes(q).reshape(2, dim)
         rb = amp.T @ amp.conj()
         return float(np.linalg.norm(rb - target))
 
     # With psi = sum_i lam_i v_i (x) u_i, the induced second marginal is
     # sum_ij lam_i lam_j C_ij (x) u_i u_j*, and orthonormality of the u_i
-    # makes |rho_B|^2 constant, so the fit objective collapses to a fixed
-    # 2x2x2x2 quadratic form in the gauge unitary.
+    # makes |rho_B|^2 constant, so the mismatch is const - 2 uf* . M . uf
+    # over uf = U.ravel(); the global phase of U cancels.
     v_split = v.T.reshape(2, 2, -1)  # [i, qubit-1 bit, qubits 2..n-1]
     c_mats = np.einsum("ibr,jbs->ijrs", v_split, v_split.conj())
     t_blocks = target.reshape(-1, 2, target.shape[0] // 2, 2)
     kform = np.einsum(
         "rpsq,ijrs,i,j->ijpq", t_blocks.conj(), c_mats, lam, lam
     )
-    # flatten to the Hermitian form uf* . M . uf over uf = U.ravel()
-    mform = np.ascontiguousarray(kform.transpose(3, 1, 2, 0).reshape(4, 4))
-    const = float(
-        np.sum((np.outer(lam, lam) ** 2) * np.sum(np.abs(c_mats) ** 2, axis=(2, 3)))
-        + np.linalg.norm(target) ** 2
-    )
-
-    def objective(params):
-        u, dus = _gauge_unitary_and_grads(params)
-        uf = u.ravel()
-        t = mform @ uf
-        value = const - 2.0 * float(np.vdot(uf, t).real)
-        grad = np.array([-4.0 * float(np.vdot(du.ravel(), t).real) for du in dus])
-        return value, grad
-
-    rng = np.random.default_rng(seed)
-    starts = [rng.uniform(0.0, 2 * math.pi, size=4) for _ in range(restarts)]
-
-    def fit(x0):
-        res = optimize.minimize(
-            objective, x0, jac=True, method="L-BFGS-B",
-            options={"ftol": 1e-18, "gtol": 1e-13, "maxiter": 300},
-        )
-        return exact_residual(res.x), res.x
-
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(fit, starts))
-    else:
-        fits = [fit(x0) for x0 in starts]
+    mform = kform.transpose(3, 1, 2, 0).reshape(4, 4)
+    # for real q, q . (G* M G) . q = q . Re(G* M G) . q
+    qform = (_SU2_BASIS.conj().T @ mform @ _SU2_BASIS).real
+    weights, gauges = np.linalg.eigh(qform)
+    gauge_gap = float(weights[-1] - weights[-2])
 
     found = []
-    best_res = math.inf
-    for residual, x in fits:
-        best_res = min(best_res, residual)
-        if residual <= fit_tol:
-            found.append((residual, FullState(n, amplitudes(x).reshape(-1))))
+    # residual^2 falls as the eigenvalue grows, so scan from the top down
+    for q in gauges.T[::-1]:
+        residual = exact_residual(q)
+        if residual > fit_tol:
+            break
+        found.append((residual, FullState(n, amplitudes(q).reshape(-1))))
     if not found:
         raise InconsistentMarginalsError(
-            f"best marginal mismatch {best_res:.3e} exceeds tolerance {fit_tol:.1e}"
+            f"best marginal mismatch {residual:.3e} exceeds tolerance {fit_tol:.1e}"
         )
 
     found.sort(key=lambda t: t[0])
@@ -360,8 +319,8 @@ def reconstruct_from_two_marginals(
             classes.append((residual, state))
     candidates = tuple(state for _, state in classes)
     if len(classes) > 1:
-        return ReconstructionResult("ambiguous", None, candidates, classes[0][0])
-    return ReconstructionResult("unique", candidates[0], candidates, classes[0][0])
+        return ReconstructionResult("ambiguous", None, candidates, classes[0][0], gauge_gap)
+    return ReconstructionResult("unique", candidates[0], candidates, classes[0][0], gauge_gap)
 
 
 def _ptrace_apply(delta: np.ndarray, psi_tensor: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -380,7 +339,6 @@ def marginal_match_search(
     distinct_tol: float = 1e-6,
     seed: int | None = 0,
     maxiter: int = 2000,
-    workers: int | None = None,
 ) -> list[FullState]:
     """All pure n-qubit states reproducing every target marginal.
 
@@ -388,7 +346,6 @@ def marginal_match_search(
     local least squares over the full 2^n-dimensional state space with an
     analytic gradient; minima with residual below ``tol`` are deduplicated by
     fidelity and returned best first.  An empty list is a valid outcome.
-    ``workers`` > 1 runs the restarts concurrently.
     """
     from scipy import optimize
 
@@ -435,13 +392,7 @@ def marginal_match_search(
         )
         return math.sqrt(max(res.fun, 0.0)), res.x
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(fit, starts))
-    else:
-        fits = [fit(x0) for x0 in starts]
+    fits = [fit(x0) for x0 in starts]
 
     hits = []
     for residual, x in fits:

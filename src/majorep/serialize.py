@@ -9,6 +9,7 @@ Configuration:         {"mults", "diversity", "label"}
 from __future__ import annotations
 
 import io
+import numbers
 
 import numpy as np
 
@@ -28,6 +29,26 @@ def _require(doc: dict, *keys):
             raise FormatError(f"missing field {key!r}")
 
 
+def _integer(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FormatError(f"field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _complex_entries(doc: dict) -> np.ndarray:
+    re = np.asarray(doc["re"], dtype=float)
+    im = np.asarray(doc["im"], dtype=float)
+    if re.shape != im.shape:
+        raise FormatError(f"re and im shapes differ: {re.shape} vs {im.shape}")
+    bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
+    if bad.size:
+        raise FormatError(f"non-finite entries (NaN or infinity) at flat indices {bad.tolist()}")
+    return re + 1j * im
+
+
 def state_to_dict(state) -> dict:
     if isinstance(state, SymmetricState):
         vec, basis = state.c, "dicke"
@@ -45,8 +66,8 @@ def state_to_dict(state) -> dict:
 
 def state_from_dict(doc: dict):
     _require(doc, "n", "basis", "re", "im")
-    vec = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    n = int(doc["n"])
+    vec = _complex_entries(doc)
+    n = _integer(doc, "n")
     if doc["basis"] == "dicke":
         return SymmetricState(n, vec)
     if doc["basis"] == "computational":
@@ -69,9 +90,9 @@ def constellation_from_dict(doc: dict) -> MajoranaConstellation:
         _require(entry, "alpha", "beta", "mult")
         points.append(
             (ProjectiveRoot.from_angles(float(entry["alpha"]), float(entry["beta"])),
-             int(entry["mult"]))
+             _integer(entry, "mult"))
         )
-    return MajoranaConstellation(int(doc["n"]), tuple(points))
+    return MajoranaConstellation(_integer(doc, "n"), tuple(points))
 
 
 def constellation_to_csv(const: MajoranaConstellation) -> str:
@@ -95,9 +116,8 @@ def density_to_dict(dm: DensityMatrix) -> dict:
 
 def density_from_dict(doc: dict) -> DensityMatrix:
     _require(doc, "dim", "basis", "k", "re", "im")
-    mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    dm = DensityMatrix(mat, str(doc["basis"]), int(doc["k"]))
-    if dm.dim != int(doc["dim"]):
+    dm = DensityMatrix(_complex_entries(doc), str(doc["basis"]), _integer(doc, "k"))
+    if dm.dim != _integer(doc, "dim"):
         raise FormatError("dim field does not match matrix shape")
     return dm
 

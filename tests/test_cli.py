@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +138,28 @@ class TestPipeline:
         assert code == 0
         assert out.strip() == "AMBIGUOUS"
 
+    def test_reconstruct_needs_no_optimizer(self, tmp_path):
+        full = mj.expand_to_full(mj.dnk_state(5, 2, 0.6, 0.8))
+        for name, keep in (("a.json", (1, 2, 3, 4)), ("b.json", (2, 3, 4, 5))):
+            doc = serialize.density_to_dict(mj.rdm_full(full, keep))
+            (tmp_path / name).write_text(json.dumps(doc))
+        script = (
+            "import sys\n"
+            "from majorep.cli import main\n"
+            f"code = main(['reconstruct', {str(tmp_path / 'a.json')!r}, "
+            f"{str(tmp_path / 'b.json')!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        state = serialize.state_from_dict(json.loads(proc.stdout))
+        assert mj.fidelity(state, full) >= 1 - 1e-8
+
     def test_entangle(self, capsys, monkeypatch):
         doc = serialize.state_to_dict(mj.ghz_state(3))
         code, out = run(capsys, ["entangle"], stdin_doc=doc, monkeypatch=monkeypatch)
@@ -172,6 +198,24 @@ class TestExitCodes:
         path.write_text(json.dumps({"n": 2, "basis": "dicke", "re": [1.0]}))
         code, _ = run(capsys, ["classify", str(path)])
         assert code == 2
+
+    def test_non_integral_qubit_count(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2.7, "basis": "dicke", "re": [1, 0, 0],
+                                    "im": [0, 0, 0]}))
+        code, out = run(capsys, ["classify", str(path)])
+        assert code == 2
+        assert out == ""
+
+    def test_nan_amplitude_named_without_warning(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "basis": "dicke", "re": [NaN, 1, 0], "im": [0, 0, 0]}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["classify", str(path)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert caught == []
 
     def test_table1_passes(self, capsys):
         code, out = run(capsys, ["table1"])

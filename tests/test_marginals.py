@@ -297,6 +297,27 @@ class TestReconstruction:
             assert result.is_ambiguous
             assert len(result.candidates) >= 2
 
+    def test_seed_is_ignored(self):
+        full = mj.expand_to_full(mj.dnk_state(6, 3, 0.6 + 0.2j, 0.7))
+        first = mj.reconstruct_from_two_marginals(*two_marginals(full), seed=0)
+        second = mj.reconstruct_from_two_marginals(*two_marginals(full), seed=7)
+        assert np.array_equal(first.state.amp, second.state.amp)
+
+    def test_ghz_gauge_gap_is_zero(self):
+        for n in range(3, 9):
+            full = mj.expand_to_full(mj.ghz_state(n))
+            result = mj.reconstruct_from_two_marginals(*two_marginals(full))
+            assert result.gauge_gap <= 1e-12
+            assert len(result.candidates) >= 2
+            first, second = result.candidates[:2]
+            assert abs(np.vdot(first.amp, second.amp)) < 1 - 1e-6
+
+    def test_dnk_gauge_gap_is_positive(self):
+        full = mj.expand_to_full(mj.dnk_state(7, 2, 0.6, 0.8))
+        result = mj.reconstruct_from_two_marginals(*two_marginals(full))
+        assert result.status == "unique"
+        assert result.gauge_gap > 0
+
     def test_product_state_unique(self, rng):
         sp = mj.Spinor.from_angles(1.1, 0.8)
         full = mj.expand_to_full(mj.symmetrize([sp] * 5))

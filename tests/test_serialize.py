@@ -28,6 +28,18 @@ class TestStateDocuments:
         with pytest.raises(serialize.FormatError):
             serialize.state_from_dict({"n": 2, "re": [1, 0, 0]})
 
+    def test_non_integral_qubit_count_rejected(self):
+        with pytest.raises(serialize.FormatError, match="integer"):
+            serialize.state_from_dict({"n": 2.7, "basis": "dicke", "re": [1, 0, 0], "im": [0, 0, 0]})
+
+    def test_integral_float_qubit_count_accepted(self):
+        doc = {"n": 2.0, "basis": "dicke", "re": [1, 0, 0], "im": [0, 0, 0]}
+        assert serialize.state_from_dict(doc).n == 2
+
+    def test_re_im_shape_mismatch_rejected(self):
+        with pytest.raises(serialize.FormatError, match="shapes"):
+            serialize.state_from_dict({"n": 2, "basis": "dicke", "re": [1, 0, 0], "im": [0]})
+
     def test_unknown_basis(self):
         with pytest.raises(serialize.FormatError):
             serialize.state_from_dict({"n": 1, "basis": "fock", "re": [1, 0], "im": [0, 0]})
@@ -56,6 +68,13 @@ class TestConstellationDocuments:
         assert all(len(line.split(",")) == 3 for line in lines[1:])
 
 
+    def test_non_integral_multiplicity_rejected(self):
+        doc = {"n": 2, "points": [{"alpha": 0.0, "beta": 0.0, "mult": 1.5},
+                                  {"alpha": 0.0, "beta": 3.0, "mult": 0.5}]}
+        with pytest.raises(serialize.FormatError, match="'mult'"):
+            serialize.constellation_from_dict(doc)
+
+
 class TestDensityDocuments:
     def test_roundtrip_both_bases(self, rng):
         s = mj.random_symmetric_state(5, rng)
@@ -69,6 +88,19 @@ class TestDensityDocuments:
         doc = serialize.density_to_dict(mj.rdm_symmetric(mj.random_symmetric_state(4, rng), 2))
         doc["dim"] = 7
         with pytest.raises(serialize.FormatError):
+            serialize.density_from_dict(doc)
+
+
+    def test_non_integral_k_rejected(self, rng):
+        doc = serialize.density_to_dict(mj.rdm_symmetric(mj.random_symmetric_state(4, rng), 2))
+        doc["k"] = 2.5
+        with pytest.raises(serialize.FormatError, match="'k'"):
+            serialize.density_from_dict(doc)
+
+    def test_non_finite_entry_rejected(self, rng):
+        doc = serialize.density_to_dict(mj.rdm_symmetric(mj.random_symmetric_state(4, rng), 2))
+        doc["re"][1][2] = float("inf")
+        with pytest.raises(serialize.FormatError, match="non-finite"):
             serialize.density_from_dict(doc)
 
 

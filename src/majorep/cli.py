@@ -125,7 +125,7 @@ def cmd_points(args) -> int:
     from .stellar import majorana_points
 
     state = _as_symmetric(_load_state(args.state))
-    const = majorana_points(state, cluster_tol=args.tol)
+    const = majorana_points(state)
     _emit(serialize.constellation_to_dict(const))
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -137,7 +137,7 @@ def cmd_classify(args) -> int:
     from .slocc import classify
 
     state = _as_symmetric(_load_state(args.state))
-    config = classify(state, tol=args.tol)
+    config = classify(state)
     if args.json:
         _emit(serialize.configuration_to_dict(config))
     else:
@@ -231,7 +231,7 @@ def cmd_table1(args) -> int:
     from .table1 import check_rows
 
     failures = 0
-    for result in check_rows(tol=args.tol if args.tol < 1e-6 else 1e-9):
+    for result in check_rows(tol=args.tol):
         status = "PASS" if result["ok"] else "FAIL"
         failures += not result["ok"]
         print(
@@ -243,8 +243,6 @@ def cmd_table1(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-6,
-                        help="clustering / acceptance tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for stochastic steps")
     common.add_argument("--grid", type=int, default=64, help="landscape grid resolution")
     common.add_argument("--restarts", type=int, default=16, help="multistart count")
@@ -315,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", parents=[common],
                        help="recompute the reference rows and diff against embedded values")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest accepted error per row item")
     p.set_defaults(func=cmd_table1)
 
     return parser

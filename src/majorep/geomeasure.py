@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import SymmetricState, binom
+from .states import SymmetricState, binom, sqrt_binomials
 from .stellar import majorana_points
 
 GRID_DEFAULT = 64
@@ -71,14 +71,7 @@ class EntanglementReport:
 def coherent_coefficients(n: int, alpha: float, beta: float) -> np.ndarray:
     """Weight-basis coefficients of the coherent product state at (alpha, beta)."""
     r = np.arange(n + 1)
-    mag = np.array(
-        [
-            math.sqrt(binom(n, int(j)))
-            * math.cos(beta / 2) ** int(j)
-            * math.sin(beta / 2) ** int(n - j)
-            for j in r
-        ]
-    )
+    mag = sqrt_binomials(n) * math.cos(beta / 2) ** r * math.sin(beta / 2) ** (n - r)
     return mag * np.exp(-1j * (n - r) * alpha)
 
 
@@ -93,7 +86,7 @@ def overlap_landscape(s: SymmetricState, alphas, betas) -> np.ndarray:
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     r = np.arange(n + 1)
-    mag = np.array([math.sqrt(binom(n, int(j))) for j in r])
+    mag = sqrt_binomials(n)
     cosb = np.cos(betas / 2.0)[None, :] ** r[:, None]
     sinb = np.sin(betas / 2.0)[None, :] ** (n - r)[:, None]
     radial = mag[:, None] * cosb * sinb

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SymmetricState
-from .stellar import CLUSTER_TOL, apply_single_qubit_map, majorana_points
+from .stellar import apply_single_qubit_map, majorana_points
 
 COND_WARN = 1e8
 
@@ -71,10 +71,9 @@ class LocalOperation:
         return float(np.linalg.cond(self.m))
 
 
-def classify(s: SymmetricState, tol: float = CLUSTER_TOL) -> DegeneracyConfiguration:
-    """Degeneracy configuration of a symmetric state at clustering tolerance tol."""
-    const = majorana_points(s, cluster_tol=tol)
-    return DegeneracyConfiguration(const.multiplicities)
+def classify(s: SymmetricState) -> DegeneracyConfiguration:
+    """Degeneracy configuration of a symmetric state, from its verified constellation."""
+    return DegeneracyConfiguration(majorana_points(s).multiplicities)
 
 
 def apply_ilo(s: SymmetricState, a) -> SymmetricState:
@@ -92,7 +91,7 @@ def apply_ilo(s: SymmetricState, a) -> SymmetricState:
     return apply_single_qubit_map(s, op.m)
 
 
-def same_family(s1: SymmetricState, s2: SymmetricState, tol: float = CLUSTER_TOL) -> bool:
+def same_family(s1: SymmetricState, s2: SymmetricState) -> bool:
     """True when both states carry the same degeneracy configuration.
 
     This is family equality, not full SLOCC equivalence: configurations with
@@ -100,4 +99,4 @@ def same_family(s1: SymmetricState, s2: SymmetricState, tol: float = CLUSTER_TOL
     """
     if s1.n != s2.n:
         raise ValueError("qubit counts differ")
-    return classify(s1, tol) == classify(s2, tol)
+    return classify(s1) == classify(s2)

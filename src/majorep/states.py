@@ -33,6 +33,23 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def sqrt_binomials(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) for k = 0..n, the Dicke-basis weights.
+
+    Each binomial is shifted down to a float-sized integer before the square
+    root and scaled back by a power of two, so the weights stay finite while
+    sqrt(C(n, k)) itself fits a float (n up to about 2040); converting C(n, k)
+    to a float directly overflows from n of about 1030.
+    """
+    out = np.empty(n + 1)
+    b = 1
+    for k in range(n + 1):
+        shift = max(b.bit_length() - 1000, 0) // 2
+        out[k] = math.sqrt(float(b >> (2 * shift))) * 2.0**shift
+        b = b * (n - k) // (k + 1)
+    return out
+
+
 def canonicalize(vec):
     """Normalize and rotate a nonzero complex vector to canonical phase.
 
@@ -52,8 +69,21 @@ def canonicalize(vec):
 
 
 def canonical_distance(x, y) -> float:
-    """Euclidean distance between the canonical forms of two coefficient vectors."""
-    return float(np.linalg.norm(canonicalize(x) - canonicalize(y)))
+    """Distance between two coefficient vectors as rays: min over phases of |x - e^{ia} y|.
+
+    Both vectors are normalized and y's global phase is aligned to x through
+    their overlap.  Aligning on a fixed pivot entry instead would inherit that
+    entry's relative rounding error, which is large when the entry is tiny.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    if nx == 0.0 or ny == 0.0:
+        raise ValueError("cannot compare with the zero vector")
+    x, y = x / nx, y / ny
+    overlap = np.vdot(y, x)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    return float(np.linalg.norm(x - phase * y))
 
 
 def hamming_weights(n: int) -> np.ndarray:
@@ -108,7 +138,7 @@ class Spinor:
         return float(np.linalg.norm(self.canonical() - other.canonical())) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymmetricState:
     """Symmetric N-qubit pure state in the weight-indexed Dicke basis."""
 
@@ -131,7 +161,7 @@ class SymmetricState:
     def distance(self, other: "SymmetricState") -> float:
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        return float(np.linalg.norm(self.c - other.c))
+        return canonical_distance(self.c, other.c)
 
 
 @dataclass(frozen=True)
@@ -235,8 +265,7 @@ def expand_to_full(s: SymmetricState) -> FullState:
     if s.n > FullState.MAX_DENSE:
         raise ValueError(f"n={s.n} too large for dense expansion")
     w = hamming_weights(s.n)
-    scale = np.array([1.0 / math.sqrt(binom(s.n, l)) for l in range(s.n + 1)])
-    return FullState(s.n, s.c[w] * scale[w])
+    return FullState(s.n, s.c[w] / sqrt_binomials(s.n)[w])
 
 
 def project_to_symmetric(f: FullState, tol: float = DEFAULT_TOL):
@@ -249,11 +278,9 @@ def project_to_symmetric(f: FullState, tol: float = DEFAULT_TOL):
     two-qubit singlet).
     """
     w = hamming_weights(f.n)
-    c = np.zeros(f.n + 1, dtype=complex)
-    for l in range(f.n + 1):
-        c[l] = f.amp[w == l].sum() / math.sqrt(binom(f.n, l))
-    scale = np.array([1.0 / math.sqrt(binom(f.n, l)) for l in range(f.n + 1)])
-    projected = c[w] * scale[w]
+    root = sqrt_binomials(f.n)
+    c = np.array([f.amp[w == l].sum() for l in range(f.n + 1)], dtype=complex) / root
+    projected = c[w] / root[w]
     residual = float(np.linalg.norm(f.amp - projected))
     if float(np.sum(np.abs(c) ** 2)) < tol:
         raise ValueError("state has no symmetric component")

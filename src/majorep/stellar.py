@@ -16,6 +16,7 @@ infinity never need to be located to rotate a state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,11 +29,12 @@ from .states import (
     SymmetricState,
     binom,
     canonical_distance,
+    sqrt_binomials,
 )
 
-CLUSTER_TOL = 1e-6
-DEGREE_RTOL = 1e-12
 REBUILD_TOL = 1e-10
+GCD_RTOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -94,17 +96,6 @@ class ProjectiveRoot:
         alpha, beta = self.angles()
         return Spinor.from_angles(alpha, beta)
 
-    def xyz(self) -> np.ndarray:
-        """Cartesian point on the unit sphere."""
-        alpha, beta = self.angles()
-        return np.array(
-            [
-                math.sin(beta) * math.cos(alpha),
-                math.sin(beta) * math.sin(alpha),
-                math.cos(beta),
-            ]
-        )
-
 
 def chordal_distance(p: ProjectiveRoot, q: ProjectiveRoot) -> float:
     """Scale-free metric |z_p w_q - z_q w_p| / (|p| |q|); treats infinity symmetrically."""
@@ -112,33 +103,58 @@ def chordal_distance(p: ProjectiveRoot, q: ProjectiveRoot) -> float:
     return num / (math.hypot(abs(p.z), abs(p.w)) * math.hypot(abs(q.z), abs(q.w)))
 
 
-def _root_from_xyz(v: np.ndarray) -> ProjectiveRoot:
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("degenerate direction")
-    x, y, z = v / norm
-    beta = math.acos(max(-1.0, min(1.0, z)))
-    alpha = math.atan2(y, x)
-    return ProjectiveRoot.from_angles(alpha, beta)
-
-
-@dataclass(frozen=True)
 class MajoranaConstellation:
-    """Unordered multiset of projective points with multiplicities summing to n."""
+    """Unordered multiset of projective points with multiplicities summing to n.
 
-    n: int
-    points: tuple
+    Immutable.  Results are often kept in bulk, so each point is stored as
+    its smaller projective component t (the larger one is 1), packed as
+    complex128 bytes, with a bitmask marking the points stored as (1 : t);
+    the multiplicities are stored only when some point is multiple.
+    ``points`` builds the (ProjectiveRoot, mult) pairs on access.
+    """
 
-    def __post_init__(self):
-        pts = tuple((p, int(m)) for p, m in self.points)
-        total = sum(m for _, m in pts)
-        if total != self.n:
-            raise ValueError(f"multiplicities sum to {total}, expected {self.n}")
-        object.__setattr__(self, "points", pts)
+    __slots__ = ("n", "_coords", "_far", "_mults")
+
+    def __init__(self, n: int, points):
+        pairs = [(p, int(m)) for p, m in points]
+        total = sum(m for _, m in pairs)
+        if total != n:
+            raise ValueError(f"multiplicities sum to {total}, expected {n}")
+        mults = tuple(m for _, m in pairs)
+        object.__setattr__(self, "n", n)
+        coords = np.array([p.z if p.w == 1 else p.w for p, _ in pairs], dtype=complex)
+        object.__setattr__(self, "_coords", coords.tobytes())
+        object.__setattr__(self, "_far", sum(1 << i for i, (p, _) in enumerate(pairs) if p.w != 1))
+        object.__setattr__(self, "_mults", mults if any(m > 1 for m in mults) else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, MajoranaConstellation):
+            return NotImplemented
+        return self.n == other.n and self.points == other.points
+
+    def __hash__(self):
+        return hash((self.n, self.points))
+
+    def __repr__(self):
+        return f"MajoranaConstellation(n={self.n}, points={self.points!r})"
+
+    @property
+    def points(self) -> tuple:
+        coords = np.frombuffer(self._coords, dtype=complex).tolist()
+        return tuple(
+            (ProjectiveRoot(1.0, t) if self._far >> i & 1 else ProjectiveRoot(t, 1.0), m)
+            for i, (t, m) in enumerate(zip(coords, self._point_mults()))
+        )
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(sorted((m for _, m in self.points), reverse=True))
+        return tuple(sorted(self._point_mults(), reverse=True))
+
+    def _point_mults(self) -> tuple[int, ...]:
+        return self._mults or (1,) * (len(self._coords) // 16)
 
     def spinors(self) -> list[Spinor]:
         """Constituent spinors, each repeated by its multiplicity."""
@@ -163,581 +179,294 @@ class MajoranaConstellation:
         return worst
 
 
+def _dicke_weights(n: int) -> np.ndarray:
+    """Signed weights (-1)^m sqrt(C(n, m)), m = 0..n, linking p_m = w_m c_{N-m}."""
+    out = sqrt_binomials(n)
+    out[1::2] *= -1.0
+    return out
+
+
 def majorana_polynomial(s: SymmetricState) -> np.ndarray:
     """Coefficients p_0 .. p_N (ascending powers) of the root polynomial."""
-    n = s.n
-    m = np.arange(n + 1)
-    signs = (-1.0) ** m
-    weights = np.array([math.sqrt(binom(n, int(k))) for k in m])
-    return signs * weights * s.c[::-1]
+    return _dicke_weights(s.n) * s.c[::-1]
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, max_move: float = math.inf,
-                   steps: int = 20) -> complex:
-    """Newton refinement on a simple root, keeping the best residual seen.
-
-    Total displacement is capped by ``max_move``: inside the noise floor of a
-    nearly multiple root the residual keeps "improving" along an aimless
-    walk, and the cap stops that walk from leaving the root's neighborhood.
-    """
-    dcoeffs = npoly.polyder(coeffs)
-    start = z
-    best = z
-    p0 = abs(npoly.polyval(z, coeffs))
-    for _ in range(steps):
-        p = complex(npoly.polyval(z, coeffs))
-        dp = complex(npoly.polyval(z, dcoeffs))
-        if dp == 0:
-            break
-        step = p / dp
-        if not np.isfinite(step) or abs(step) > 1.0 + abs(z):
-            break
-        z = z - step
-        if abs(z - start) > max_move:
-            break
-        pn = abs(npoly.polyval(z, coeffs))
-        if pn < p0:
-            best, p0 = z, pn
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
-            break
-    return best
-
-
-def _refine_multiple_root(core: np.ndarray, z_values, mult: int) -> complex:
-    """Locate an m-fold root of ``core`` near the scattered estimates.
-
-    An m-fold root of P is a simple, well-conditioned root of the (m-1)-th
-    derivative, so Newton on that derivative recovers it to machine precision
-    even though the individual eigenvalue estimates scatter like eps^(1/m).
-    Clusters sitting outside the unit disk are refined in the inverted
-    coordinate.  Falls back to the plain mean if the iteration runs away.
-    """
-    start = complex(np.mean(np.asarray(z_values)))
-    if mult == 1:
-        return _newton_polish(core, start)
-    diam = max(
-        (abs(a - b) for a in z_values for b in z_values), default=0.0
-    )
-    if abs(start) <= 1.0:
-        refined = _newton_polish(npoly.polyder(core, mult - 1), start)
-    else:
-        rev = core[::-1]
-        w = _newton_polish(npoly.polyder(rev, mult - 1), 1.0 / start)
-        if w == 0:
-            return start
-        refined = 1.0 / w
-    if abs(refined - start) > 4.0 * diam + 1e-6:
-        return start
-    return refined
-
-
-def _cluster_groups(points: list[ProjectiveRoot], tol: float) -> list[list[ProjectiveRoot]]:
-    """Single-linkage groups under the chordal metric."""
-    k = len(points)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if chordal_distance(points[i], points[j]) <= tol:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[ProjectiveRoot]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
-
-
-@dataclass(frozen=True)
-class _PolyContext:
-    """Root-finding context: full coefficients plus the detected degree span."""
-
-    p: np.ndarray
-    low: int
-    deg: int
-    n: int
-
-    @property
-    def core(self) -> np.ndarray:
-        return self.p[self.low : self.deg + 1]
-
-    @property
-    def low_chart(self) -> np.ndarray:
-        """Coefficients with sub-threshold leading digits kept, zeros stripped."""
-        return self.p[: self.deg + 1]
-
-    @property
-    def inverted_chart(self) -> np.ndarray:
-        """Coefficients in w = 1/z with sub-threshold trailing digits kept."""
-        return self.p[self.low :][::-1]
-
-
-def _refine_mixed_group(members: list[ProjectiveRoot], ctx: _PolyContext) -> ProjectiveRoot:
-    """Representative for a scattered group touching a structural point.
-
-    A group absorbing the forced infinity points is a single multiple root
-    near w = 0 of the inverted-coordinate polynomial (whose sub-threshold
-    digits still carry its position); symmetrically for forced zeros.
-    """
-    mult = len(members)
-    if any(p.is_infinity for p in members):
-        w_values = [0.0 if p.is_infinity else 1.0 / p.value() for p in members]
-        coeffs = ctx.inverted_chart
-        start = complex(np.mean(np.asarray(w_values)))
-        w = _refine_multiple_root(coeffs, w_values, mult) if len(coeffs) >= 2 else start
-        return ProjectiveRoot(1.0, w)
-    z_values = [p.value() for p in members]
-    coeffs = ctx.low_chart
-    z = _refine_multiple_root(coeffs, z_values, mult) if len(coeffs) >= 2 else 0.0
-    return ProjectiveRoot.from_complex(z)
-
-
-def _cluster_representatives(
-    groups: list[list[ProjectiveRoot]], ctx: _PolyContext
-) -> list[tuple[ProjectiveRoot, int]]:
-    """One refined representative per group.
-
-    Groups consisting of identical structural points (exact zeros or the
-    point at infinity) pass through untouched; scattered groups are refined
-    against the core polynomial at their combined multiplicity.  Singleton
-    refinement is displacement-capped by the distance to the nearest other
-    group so it cannot wander across basins.
-    """
-    core = ctx.core
-    finite_values = [
-        p.value() for g in groups for p in g if not p.is_infinity
-    ]
-    out = []
-    for members in groups:
-        first = members[0]
-        if all(chordal_distance(first, p) == 0.0 for p in members[1:]):
-            out.append((first, len(members)))
-            continue
-        if any(p.is_infinity or p.z == 0 for p in members):
-            out.append((_refine_mixed_group(members, ctx), len(members)))
-            continue
-        values = [p.value() for p in members]
-        if len(members) == 1:
-            z0 = values[0]
-            gaps = [abs(z0 - v) for v in finite_values if v != z0]
-            cap = 0.25 * min(gaps) if gaps else 0.1
-            z = _newton_polish(core, z0, max_move=min(cap, 0.1))
-        else:
-            z = _refine_multiple_root(core, values, len(members))
-        out.append((ProjectiveRoot.from_complex(z), len(members)))
+def _power(factor: np.ndarray, m: int) -> np.ndarray:
+    out = np.ones(1, dtype=complex)
+    for _ in range(m):
+        out = np.convolve(out, factor)
     return out
 
 
-def _blob_split_candidates(core: np.ndarray, values, mult: int):
-    """Two-root splittings of an over-merged cluster.
+def _root_polynomial(points) -> np.ndarray:
+    """Ascending coefficients of prod (w z - z_root)^m over (ProjectiveRoot, m) pairs.
 
-    When two multiple roots sit closer than their eigenvalue scatter, no
-    clustering tolerance separates them; but an m1-fold root is still an
-    exact simple root of the (m1-1)-th derivative, so candidate positions for
-    every split m = m1 + m2 are read off the derivative root sets.
+    Every point contributes m to the degree count, so the result always has
+    sum(m) + 1 entries; the point at infinity contributes the constant -1 and
+    leaves the top coefficients zero.  Points far out enter as (w z - 1) with
+    small w, so no factor carries a huge coordinate.
     """
-    zc = complex(np.mean(np.asarray(values)))
-    spread = max((abs(v - zc) for v in values), default=0.1)
-    move_cap = 2.0 * spread + 1e-6
-    candidates = []
-    for m1 in range(mult - 1, (mult + 1) // 2 - 1, -1):
-        m2 = mult - m1
-        d1 = npoly.polyder(core, m1 - 1)
-        if len(d1) < 2:
-            continue
-        r1 = np.roots(d1[::-1])
-        if r1.size == 0:
-            continue
-        # an m1-fold root appears among the d1 roots, but interior critical
-        # points can sit closer to the blob centroid; try every distinct one
-        z1_candidates: list[complex] = []
-        for z1_raw in sorted((complex(z) for z in r1), key=lambda z: abs(z - zc)):
-            if abs(z1_raw - zc) > 3.0 * spread + 1e-3:
-                break
-            z1 = _newton_polish(d1, z1_raw, max_move=move_cap)
-            if all(abs(z1 - q) > 1e-8 for q in z1_candidates):
-                z1_candidates.append(z1)
-        for z1 in z1_candidates:
-            quotient = core
-            for _ in range(m1):
-                quotient, _rem = npoly.polydiv(quotient, np.array([-z1, 1.0 + 0.0j]))
-            if len(quotient) < 2:
-                continue
-            r2 = np.roots(quotient[::-1])
-            if r2.size == 0:
-                continue
-            near = sorted((complex(z) for z in r2), key=lambda z: abs(z - zc))[:m2]
-            z2 = complex(np.mean(near))
-            if m2 > 1:
-                z2 = _newton_polish(npoly.polyder(core, m2 - 1), z2, max_move=move_cap)
-            else:
-                z2 = _newton_polish(core, z2, max_move=1e-3)
-            if abs(z2 - z1) > 1e-8:
-                candidates.append(((z1, m1), (z2, m2)))
-    return candidates
-
-
-def _coef_map(n: int) -> np.ndarray:
-    m = np.arange(n + 1)
-    return ((-1.0) ** m) / np.array([math.sqrt(binom(n, int(k))) for k in m])
-
-
-def _joint_polish_positions(n: int, fixed, free, target_c, iters: int = 15):
-    """Gauss-Newton refinement of free root positions against the target.
-
-    Per-root derivative refinement bottoms out at eps/sep^m when multiple
-    roots sit close together, but the joint positions-to-coefficients map
-    stays well conditioned.  The residual c(z)/<t, c(z)> - t is holomorphic
-    in the positions, so its Jacobian is exact (one polynomial division per
-    root) and the least-squares iteration reaches machine precision.
-
-    ``fixed`` are (ProjectiveRoot, mult) pairs held in place; ``free`` are
-    (complex position, mult) pairs to refine.  Returns refined positions and
-    the final canonical residual norm.
-    """
-    weights = _coef_map(n)
-    base = np.array([1.0 + 0.0j])
-    for root, mult in fixed:
-        if root.is_infinity:
-            continue
-        factor = np.array([-root.value(), 1.0 + 0.0j])
-        for _ in range(mult):
-            base = npoly.polymul(base, factor)
-    mults = [m for _, m in free]
-    zs = np.array([z for z, _ in free], dtype=complex)
-    t = target_c
-
-    def coefs_and_derivs(positions):
-        poly = base
-        for z, mult in zip(positions, mults):
-            factor = np.array([-z, 1.0 + 0.0j])
-            for _ in range(mult):
-                poly = npoly.polymul(poly, factor)
-        p = np.zeros(n + 1, dtype=complex)
-        p[: len(poly)] = poly
-        c = (weights * p)[::-1]
-        derivs = []
-        for z, mult in zip(positions, mults):
-            quotient, _ = npoly.polydiv(poly, np.array([-z, 1.0 + 0.0j]))
-            dp = np.zeros(n + 1, dtype=complex)
-            dp[: len(quotient)] = -mult * quotient
-            derivs.append((weights * dp)[::-1])
-        return c, derivs
-
-    def canonical_norm(positions):
-        if not np.all(np.isfinite(positions)):
-            return math.inf
-        c, _ = coefs_and_derivs(positions)
-        if not np.all(np.isfinite(c)) or np.linalg.norm(c) == 0.0:
-            return math.inf
-        return canonical_distance(c, t)
-
-    best = zs.copy()
-    best_norm = canonical_norm(zs)
-    for _ in range(iters):
-        if not np.all(np.isfinite(zs)):
-            break
-        c, derivs = coefs_and_derivs(zs)
-        norm_c = np.linalg.norm(c)
-        if not np.isfinite(norm_c) or norm_c == 0.0:
-            break
-        alpha = np.vdot(t, c)
-        if abs(alpha) < 1e-12 * norm_c:
-            break
-        r = c / alpha - t
-        cols = []
-        for d in derivs:
-            cols.append(d / alpha - c * np.vdot(t, d) / alpha**2)
-        jc = np.column_stack(cols)
-        jac = np.block([[jc.real, -jc.imag], [jc.imag, jc.real]])
-        rhs = -np.concatenate([r.real, r.imag])
-        sol, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-        if not np.all(np.isfinite(sol)):
-            break
-        k = len(zs)
-        step = sol[:k] + 1j * sol[k:]
-        if np.max(np.abs(step)) > 10.0 * (1.0 + np.max(np.abs(zs))):
-            break
-        zs = zs + step
-        norm = canonical_norm(zs)
-        if norm < best_norm:
-            best, best_norm = zs.copy(), norm
-        if norm < 1e-15 or np.max(np.abs(step)) < 1e-15:
-            break
-    return best, float(best_norm)
-
-
-def _polish_constellation(const: MajoranaConstellation, s: SymmetricState):
-    """Jointly refine every finite non-structural point of a constellation."""
-    fixed = []
-    free = []
-    for root, mult in const.points:
-        if root.is_infinity or root.z == 0:
-            fixed.append((root, mult))
-        else:
-            free.append((root.value(), mult))
-    if not free:
-        return const, canonical_distance(state_from_constellation(const).c, s.c)
-    zs, norm = _joint_polish_positions(const.n, fixed, free, s.c)
-    points = tuple(fixed) + tuple(
-        (ProjectiveRoot.from_complex(complex(z)), m) for z, (_, m) in zip(zs, free)
-    )
-    return MajoranaConstellation(const.n, points), norm
-
-
-def _derivative_root_candidates(core, mult, zc, spread):
-    """Distinct roots of the (mult-1)-th derivative near the blob center."""
-    d = npoly.polyder(core, mult - 1)
-    if len(d) < 2:
-        return []
-    roots = np.roots(d[::-1])
-    out: list[complex] = []
-    for z in sorted((complex(r) for r in roots), key=lambda z: abs(z - zc)):
-        if abs(z - zc) > 3.0 * spread + 1e-3:
-            break
-        if all(abs(z - q) > 1e-8 for q in out):
-            out.append(z)
-        if len(out) == 4:
-            break
-    return out
-
-
-def _three_part_partitions(m):
-    for m1 in range(m - 2, 0, -1):
-        for m2 in range(min(m1, m - m1 - 1), 0, -1):
-            m3 = m - m1 - m2
-            if 1 <= m3 <= m2:
-                yield m1, m2, m3
-
-
-def _salvage_split3(groups, ctx: _PolyContext, s: SymmetricState):
-    """Last resort: three multiple roots whose scatters all interpenetrate."""
-    n = ctx.n
-    blob_idx = [
-        i
-        for i, g in enumerate(groups)
-        if len(g) >= 3 and all((not p.is_infinity) and p.z != 0 for p in g)
-    ]
-    if len(blob_idx) != 1:
-        return None
-    i = blob_idx[0]
-    others = [groups[j] for j in range(len(groups)) if j != i]
-    fixed = tuple(_cluster_representatives(others, ctx)) if others else ()
-    values = [p.value() for p in groups[i]]
-    mult = len(values)
-    if mult < 3:
-        return None
-    zc = complex(np.mean(np.asarray(values)))
-    spread = max((abs(v - zc) for v in values), default=0.1)
-
-    ranked = []
-    cand_cache: dict[int, list[complex]] = {}
-    for m1, m2, m3 in _three_part_partitions(mult):
-        for mi in (m1, m2, m3):
-            if mi not in cand_cache:
-                cand_cache[mi] = _derivative_root_candidates(ctx.core, mi, zc, spread)
-        for z1 in cand_cache[m1]:
-            for z2 in cand_cache[m2]:
-                if abs(z2 - z1) < 1e-8:
-                    continue
-                for z3 in cand_cache[m3]:
-                    if abs(z3 - z1) < 1e-8 or abs(z3 - z2) < 1e-8:
-                        continue
-                    free = [(z1, m1), (z2, m2), (z3, m3)]
-                    start = _joint_polish_positions(n, fixed, free, s.c, iters=0)[1]
-                    if start <= 3e-2:
-                        ranked.append((start, free))
-    ranked.sort(key=lambda t: t[0])
-    for _, free in ranked[:8]:
-        zs, norm = _joint_polish_positions(n, fixed, free, s.c)
-        if norm <= REBUILD_TOL:
-            points = tuple(fixed) + tuple(
-                (ProjectiveRoot.from_complex(complex(z)), m)
-                for z, (_, m) in zip(zs, free)
-            )
-            return MajoranaConstellation(n, points)
-    return None
-
-
-def _salvage_split(groups, ctx: _PolyContext, s: SymmetricState):
-    """Try to split a single failed blob into two refined multiple roots."""
-    n = ctx.n
-    blob_idx = [
-        i
-        for i, g in enumerate(groups)
-        if len(g) >= 3 and all((not p.is_infinity) and p.z != 0 for p in g)
-    ]
-    if len(blob_idx) != 1:
-        return None
-    i = blob_idx[0]
-    others = [groups[j] for j in range(len(groups)) if j != i]
-    fixed = tuple(_cluster_representatives(others, ctx)) if others else ()
-    values = [p.value() for p in groups[i]]
-
-    # wrong splits can land surprisingly close to the acceptance gate, so
-    # polish every plausible candidate and keep the overall best fit
-    best = None
-    best_norm = math.inf
-    for (z1, m1), (z2, m2) in _blob_split_candidates(ctx.core, values, len(values)):
-        free = [(z1, m1), (z2, m2)]
-        zs = np.array([z1, z2])
-        start = _joint_polish_positions(n, fixed, free, s.c, iters=0)[1]
-        if start <= REBUILD_TOL:
-            norm = start
-        elif start <= 3e-2:
-            zs, norm = _joint_polish_positions(n, fixed, free, s.c)
-        else:
-            continue
-        if norm < best_norm:
-            best_norm = norm
-            best = tuple(fixed) + (
-                (ProjectiveRoot.from_complex(complex(zs[0])), m1),
-                (ProjectiveRoot.from_complex(complex(zs[1])), m2),
-            )
-    if best is not None and best_norm <= REBUILD_TOL:
-        return MajoranaConstellation(n, best)
-    return None
-
-
-def majorana_points(s: SymmetricState, cluster_tol: float = CLUSTER_TOL) -> MajoranaConstellation:
-    """Roots of the state polynomial with multiplicities, including infinity.
-
-    Exact zero and infinity multiplicities are read off the coefficient
-    pattern before any eigenvalue work.  Companion-matrix eigenvalues scatter
-    like eps^(1/m) around an m-fold root (up to ~1e-1 for the largest
-    multiplicities), so clustering is attempted on an escalating tolerance
-    ladder and every candidate constellation is verified by rebuilding the
-    state; the most merged clustering that still reproduces the input within
-    1e-8 wins.  Merging genuinely distinct roots fails that same check, so
-    escalation cannot collapse a legitimate near-degenerate pair.
-    """
-    n = s.n
-    p = majorana_polynomial(s)
-    thresh = DEGREE_RTOL * np.max(np.abs(p))
-    sig = np.flatnonzero(np.abs(p) > thresh)
-    ctx = _PolyContext(p=p, low=int(sig[0]), deg=int(sig[-1]), n=n)
-    n_inf = n - ctx.deg
-
-    finite = []
-    if ctx.deg - ctx.low >= 1:
-        finite = [complex(z) for z in np.roots(ctx.core[::-1])]
-
-    points = (
-        [ProjectiveRoot.zero()] * ctx.low
-        + [ProjectiveRoot.from_complex(z) for z in finite]
-        + [ProjectiveRoot.infinity()] * n_inf
-    )
-
-    ladder = [cluster_tol]
-    while ladder[-1] < 0.15:
-        ladder.append(min(ladder[-1] * 10.0, 0.15))
-
-    accepted: dict[int, MajoranaConstellation] = {}
-    fallback = None
-    fallback_dist = math.inf
-    near_miss = math.inf
-    prev_sizes = None
-    for tol in ladder:
-        groups = _cluster_groups(points, tol)
-        sizes = tuple(sorted(len(g) for g in groups))
-        if sizes == prev_sizes:
-            continue
-        prev_sizes = sizes
-        const = MajoranaConstellation(n, tuple(_cluster_representatives(groups, ctx)))
-        dist = canonical_distance(state_from_constellation(const).c, s.c)
-        if REBUILD_TOL < dist <= 1e-6:
-            # representatives refined one cluster at a time can sit just
-            # outside the gate when clusters crowd each other
-            const, dist = _polish_constellation(const, s)
-        if dist <= REBUILD_TOL:
-            accepted[len(groups)] = const
-        else:
-            near_miss = min(near_miss, dist)
-            salvaged = _salvage_split(groups, ctx, s)
-            if salvaged is not None:
-                accepted.setdefault(len(salvaged.points), salvaged)
-        if dist < fallback_dist:
-            fallback, fallback_dist = const, dist
-        if len(groups) == 1:
-            break
-
-    n_structural = (1 if ctx.low > 0 else 0) + (1 if n_inf > 0 else 0)
-    if len(finite) >= 3 and (not accepted or min(accepted) > n_structural + 2):
-        whole_blob: list[list[ProjectiveRoot]] = []
-        if ctx.low > 0:
-            whole_blob.append([ProjectiveRoot.zero()] * ctx.low)
-        if n_inf > 0:
-            whole_blob.append([ProjectiveRoot.infinity()] * n_inf)
-        whole_blob.append([ProjectiveRoot.from_complex(z) for z in finite])
-        salvaged = _salvage_split(whole_blob, ctx, s)
-        if salvaged is None and near_miss <= 3e-2:
-            # a failed merge that almost rebuilt the state is the signature
-            # of interpenetrating scatter; only then is the exhaustive
-            # three-way enumeration worth its cost
-            salvaged = _salvage_split3(whole_blob, ctx, s)
-        nz = np.flatnonzero(np.abs(p) > 1e-15 * np.max(np.abs(p)))
-        low_exact, deg_exact = int(nz[0]), int(nz[-1])
-        if salvaged is None and ctx.low > low_exact:
-            # a multiple root close to (but not at) the origin can push the
-            # low coefficients under the degree threshold; retry with those
-            # digits restored and the forced zeros folded into the blob
-            ctx_low = _PolyContext(p=p, low=low_exact, deg=ctx.deg, n=n)
-            raw_full = np.roots(ctx_low.core[::-1])
-            if raw_full.size == ctx.deg - low_exact:
-                groups_full: list[list[ProjectiveRoot]] = []
-                if low_exact > 0:
-                    groups_full.append([ProjectiveRoot.zero()] * low_exact)
-                if n_inf > 0:
-                    groups_full.append([ProjectiveRoot.infinity()] * n_inf)
-                groups_full.append(
-                    [ProjectiveRoot.from_complex(complex(z)) for z in raw_full]
-                )
-                salvaged = _salvage_split(groups_full, ctx_low, s)
-        if salvaged is None and ctx.deg < deg_exact:
-            # symmetrically, a multiple root far from the origin can push the
-            # leading coefficients under the threshold; fold the forced
-            # infinities back in and retry with the full high end
-            ctx_high = _PolyContext(p=p, low=ctx.low, deg=deg_exact, n=n)
-            raw_full = np.roots(ctx_high.core[::-1])
-            if raw_full.size == deg_exact - ctx.low:
-                groups_full = []
-                if ctx.low > 0:
-                    groups_full.append([ProjectiveRoot.zero()] * ctx.low)
-                if n - deg_exact > 0:
-                    groups_full.append([ProjectiveRoot.infinity()] * (n - deg_exact))
-                groups_full.append(
-                    [ProjectiveRoot.from_complex(complex(z)) for z in raw_full]
-                )
-                salvaged = _salvage_split(groups_full, ctx_high, s)
-        if salvaged is not None:
-            accepted.setdefault(len(salvaged.points), salvaged)
-
-    if accepted:
-        return accepted[min(accepted)]
-    return fallback
+    poly = np.ones(1, dtype=complex)
+    for root, mult in points:
+        poly = np.convolve(poly, _power(np.array([-root.z, root.w]), mult))
+    return poly
 
 
 def state_from_constellation(c: MajoranaConstellation) -> SymmetricState:
     """Symmetric state whose root multiset is the given constellation."""
-    n = c.n
-    coeffs = np.array([1.0 + 0.0j])
-    for root, mult in c.points:
-        if root.is_infinity:
+    p = _root_polynomial(c.points)
+    return SymmetricState(c.n, (p / _dicke_weights(c.n))[::-1])
+
+
+class ConstellationError(ValueError):
+    """No candidate constellation rebuilds the input state within REBUILD_TOL."""
+
+
+def _rebuild_distance(const: MajoranaConstellation, s: SymmetricState) -> float:
+    return canonical_distance(state_from_constellation(const).c, s.c)
+
+
+def _newton_disks(core: np.ndarray, scale: np.ndarray, roots: np.ndarray):
+    """Projective coordinates and Newton inclusion radii of the raw roots.
+
+    Each root is taken in the chart where its coordinate x has |x| <= 1 (the
+    reversed polynomial for |z| > 1).  The disk |x - x0| <= d |P(x0)| / |P'(x0)|
+    holds a root of the degree-d polynomial.  Both evaluations are bounded
+    against an absolute error gamma on every unit-norm amplitude, i.e.
+    gamma |w_m| on p_m (``scale`` holds |w_m|): that covers the rounding of
+    the evaluation (|c| <= 1) and amplitudes that carry rounding from an
+    earlier computation such as a rotation.  A root whose |P'| does not clear
+    its bound gets an infinite radius.  A chart disk of radius r lies inside
+    the chordal ball of radius r about its center, so disks are compared
+    through the chordal metric.
+    """
+    d = len(core) - 1
+    inside = np.abs(roots) <= 1.0
+    x = roots.copy()
+    x[~inside] = 1.0 / roots[~inside]
+    coeffs = np.where(inside[:, None], core, core[::-1])
+    scale = np.where(inside[:, None], scale, scale[::-1])
+    powers = np.cumprod(np.hstack([np.ones((len(x), 1)), np.repeat(x[:, None], d, axis=1)]), axis=1)
+    k = np.arange(1, d + 1)
+    gamma = 2.0 * (d + 1) * _EPS
+    value = np.abs((coeffs * powers).sum(axis=1)) + gamma * (scale * np.abs(powers)).sum(axis=1)
+    slope = np.abs((k * coeffs[:, 1:] * powers[:, :-1]).sum(axis=1)) - gamma * (
+        k * scale[:, 1:] * np.abs(powers[:, :-1])
+    ).sum(axis=1)
+    radius = np.full(len(x), np.inf)
+    ok = slope > 0.0
+    radius[ok] = d * value[ok] / slope[ok]
+    return np.where(inside, x, 1.0), np.where(inside, 1.0, x), radius
+
+
+def _overlap_groups(zz, ww, radius) -> list[np.ndarray]:
+    """Connected components of the graph of overlapping Newton disks."""
+    norms = np.hypot(np.abs(zz), np.abs(ww))
+    chord = np.abs(np.outer(zz, ww) - np.outer(ww, zz)) / np.outer(norms, norms)
+    adjacent = chord <= radius[:, None] + radius[None, :]
+    if np.count_nonzero(adjacent) == len(zz):
+        return [np.array([i]) for i in range(len(zz))]
+    label = np.full(len(zz), -1)
+    groups = []
+    for i in range(len(zz)):
+        if label[i] >= 0:
             continue
-        factor = np.array([-root.value(), 1.0 + 0.0j])
-        for _ in range(mult):
-            coeffs = npoly.polymul(coeffs, factor)
-    p = np.zeros(n + 1, dtype=complex)
-    p[: len(coeffs)] = coeffs
-    m = np.arange(n + 1)
-    weights = np.array([math.sqrt(binom(n, int(k))) for k in m])
-    coef = ((-1.0) ** m) * p / weights
-    return SymmetricState(n, coef[::-1])
+        label[i] = len(groups)
+        members, frontier = [i], [i]
+        while frontier:
+            new = np.flatnonzero(adjacent[frontier].any(axis=0) & (label < 0))
+            label[new] = len(groups)
+            members.extend(new)
+            frontier = list(new)
+        groups.append(np.array(members))
+    return groups
+
+
+def _centroid(zz, ww) -> ProjectiveRoot:
+    """Mean of a cluster of projective points, in the chart holding most of them.
+
+    The eps^(1/m) scatter of an m-fold root cancels in the mean of its m
+    eigenvalues, which is accurate to first order in either chart.
+    """
+    if 2 * np.count_nonzero(np.abs(zz) <= np.abs(ww)) >= len(zz):
+        return ProjectiveRoot(complex(np.mean(zz / ww)), 1.0)
+    return ProjectiveRoot(1.0, complex(np.mean(ww / zz)))
+
+
+def _convolution_matrix(f: np.ndarray, k: int) -> np.ndarray:
+    """Matrix of g -> f * g on ascending coefficient vectors of degree k."""
+    out = np.zeros((len(f) + k, k + 1), dtype=complex)
+    for j in range(k + 1):
+        out[j : j + len(f), j] = f
+    return out
+
+
+def _gcd_structures(core: np.ndarray, k_min: int):
+    """Candidate structures from the numerical GCD of P and P' (Zeng 2005).
+
+    With k distinct roots, P = u v and P' = u w where v holds each root once,
+    so P' v - P w = 0 and [C_k(P') | -C_{k-1}(P)] is rank deficient from k on.
+    For each k >= k_min whose smallest singular value is below GCD_RTOL of the
+    largest, the null vector gives v and w; the roots of v are the distinct
+    points, and since w / v = P'/P = sum m_i / (z - z_i) the residues
+    w(z_i) / v'(z_i) are the multiplicities.  A k is proposed only when these
+    are positive integers (within 1/4) summing to deg P.  Residues are taken
+    in the chart where |z_i| <= 1.
+    """
+    d = len(core) - 1
+    p = core / np.linalg.norm(core)
+    dp = npoly.polyder(p)
+    scale = np.linalg.norm(dp)
+    dp = dp / scale
+    for k in range(max(k_min, 1), d):
+        sylvester = np.hstack([_convolution_matrix(dp, k), -_convolution_matrix(p, k - 1)])
+        _, sv, vh = np.linalg.svd(sylvester, full_matrices=False)
+        if sv[-1] > GCD_RTOL * sv[0]:
+            continue
+        null = vh[-1].conj()
+        v, w = null[: k + 1], null[k + 1 :]
+        points = np.roots(v[::-1])
+        if len(points) != k:
+            continue
+        inside = np.abs(points) <= 1.0
+        residues = np.empty(k, dtype=complex)
+        z = points[inside]
+        residues[inside] = npoly.polyval(z, w) / npoly.polyval(z, npoly.polyder(v))
+        zeta = 1.0 / points[~inside]
+        residues[~inside] = -npoly.polyval(zeta, w[::-1]) / (
+            zeta * npoly.polyval(zeta, npoly.polyder(v[::-1]))
+        )
+        residues *= scale
+        mults = np.rint(residues.real)
+        if np.max(np.abs(residues - mults)) > 0.25 or mults.min() < 1 or mults.sum() != d:
+            continue
+        yield [(ProjectiveRoot.from_complex(z), int(m)) for z, m in zip(points, mults)]
+
+
+def _joint_polish_positions(n: int, fixed, free, target_c):
+    """Gauss-Newton refinement of root positions at fixed multiplicities.
+
+    Per-root refinement bottoms out at eps/sep^m when multiple roots sit close
+    together, but the joint positions-to-amplitudes map of a given structure
+    stays well conditioned (Zeng's pejorative manifold).  The residual
+    c(t)/<target, c(t)> - target is holomorphic in the positions, so its
+    Jacobian is exact: the derivative along point i is m_i times the product
+    with one factor of point i removed.  Each free point moves in the chart
+    where its coordinate t has |t| <= 1 at the start: the factor is z - t,
+    or t z - 1 for points beyond the unit circle.
+
+    ``fixed`` and ``free`` are (ProjectiveRoot, mult) pairs; the fixed ones
+    hold still.  Returns the refined free pairs and the final residual norm.
+    """
+    weights = _dicke_weights(n)
+    base = _root_polynomial(fixed)
+    mults = [m for _, m in free]
+    near = np.array([root.w == 1.0 for root, _ in free])
+    t = np.array([root.z if z_chart else root.w for (root, _), z_chart in zip(free, near)])
+
+    def points(t):
+        return [
+            (ProjectiveRoot(ti, 1.0) if z_chart else ProjectiveRoot(1.0, ti), m)
+            for ti, z_chart, m in zip(t, near, mults)
+        ]
+
+    def amplitudes_and_jacobian(t):
+        factors = [np.array([-ti, 1.0]) if z_chart else np.array([-1.0, ti])
+                   for ti, z_chart in zip(t, near)]
+        blocks = [_power(f, m) for f, m in zip(factors, mults)]
+        prefix = [base]
+        for block in blocks:
+            prefix.append(np.convolve(prefix[-1], block))
+        suffix = [np.ones(1, dtype=complex)]
+        for block in reversed(blocks):
+            suffix.append(np.convolve(block, suffix[-1]))
+        suffix.reverse()
+        cols = []
+        for i, (f, m) in enumerate(zip(factors, mults)):
+            rest = np.convolve(np.convolve(prefix[i], suffix[i + 1]), _power(f, m - 1))
+            dp = -m * np.append(rest, 0.0) if near[i] else m * np.insert(rest, 0, 0.0)
+            cols.append((dp / weights)[::-1])
+        return (prefix[-1] / weights)[::-1], cols
+
+    best_t, best_norm = t, math.inf
+    for _ in range(21):  # at most 20 steps
+        c, cols = amplitudes_and_jacobian(t)
+        alpha = np.vdot(target_c, c)
+        if not np.isfinite(alpha) or alpha == 0:
+            break
+        r = c / alpha - target_c
+        norm = float(np.linalg.norm(r))
+        # on the right structure the residual falls quadratically down to
+        # rounding level; anything slower is stagnation or a wrong structure
+        if not norm < 0.5 * best_norm:
+            break
+        best_t, best_norm = t, norm
+        if norm < 1e-15:
+            break
+        jc = np.column_stack([d / alpha - c * np.vdot(target_c, d) / alpha**2 for d in cols])
+        jac = np.block([[jc.real, -jc.imag], [jc.imag, jc.real]])
+        sol, *_ = np.linalg.lstsq(jac, -np.concatenate([r.real, r.imag]), rcond=None)
+        step = sol[: len(t)] + 1j * sol[len(t) :]
+        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 10.0:
+            break
+        t = t + step
+    return points(best_t), best_norm
+
+
+def majorana_points(s: SymmetricState) -> MajoranaConstellation:
+    """Roots of the state polynomial with multiplicities, including infinity.
+
+    The multiplicity structure is found first and the positions refined
+    second (Zeng, Math. Comp. 74 (2005) 869-903):
+
+    1. Exactly zero amplitudes give the roots at zero and infinity (a nonzero
+       amplitude, however small, carries genuine positions: an m-fold point
+       at chordal distance d from a pole leaves amplitudes of order d^m); the
+       rest of the polynomial goes to ``np.roots``.
+    2. Each raw root gets a Newton inclusion disk.  When all disks are
+       disjoint every root is simple.
+    3. Otherwise each group of overlapping disks is one candidate point with
+       the group's size as multiplicity.
+    4. Failing that, the numerical GCD of P and P' proposes the number of
+       distinct points, the points and their multiplicities.
+    5. The all-simple constellation is the last candidate.
+
+    Candidates run from the coarsest to the all-simple one; steps 3 and 4
+    are refined jointly by Gauss-Newton, and the first candidate whose
+    rebuilt state is within REBUILD_TOL of the input is returned.  Raises
+    ConstellationError when none is.
+    """
+    n = s.n
+    p = majorana_polynomial(s)
+    nonzero = np.flatnonzero(p)
+    low, deg = int(nonzero[0]), int(nonzero[-1])
+    structural = ((ProjectiveRoot.zero(), low), (ProjectiveRoot.infinity(), n - deg))
+    fixed = [(root, m) for root, m in structural if m]
+    core = p[low : deg + 1]
+    roots = np.roots(core[::-1])
+    zz, ww, radius = _newton_disks(core, np.abs(_dicke_weights(n)[low : deg + 1]), roots)
+    groups = _overlap_groups(zz, ww, radius)
+    if len(groups) < len(roots):
+        # disjoint groups each hold a root, so P has at least len(groups) distinct roots
+        candidates = itertools.chain(
+            [[(_centroid(zz[g], ww[g]), len(g)) for g in groups]],
+            _gcd_structures(core, len(groups)),
+        )
+        for free in candidates:
+            polished, _ = _joint_polish_positions(n, fixed, free, s.c)
+            const = MajoranaConstellation(n, tuple(fixed + polished))
+            if _rebuild_distance(const, s) <= REBUILD_TOL:
+                return const
+    const = MajoranaConstellation(
+        n, tuple(fixed + [(ProjectiveRoot(z, w), 1) for z, w in zip(zz, ww)])
+    )
+    dist = _rebuild_distance(const, s)
+    if not dist <= REBUILD_TOL:
+        raise ConstellationError(
+            f"no constellation rebuilds the state within {REBUILD_TOL:.0e} "
+            f"(all-simple rebuild distance {dist:.2e})"
+        )
+    return const
 
 
 def symmetrize(spinors, method: str = "polynomial") -> SymmetricState:
@@ -755,10 +484,7 @@ def symmetrize(spinors, method: str = "polynomial") -> SymmetricState:
         return symmetrize_by_permutations(spinors)
     if method != "polynomial":
         raise ValueError(f"unknown method {method!r}")
-    points = []
-    for sp in spinors:
-        points.append((ProjectiveRoot(sp.b, sp.a), 1))
-    return state_from_constellation(MajoranaConstellation(len(spinors), tuple(points)))
+    return state_from_constellation(constellation_from_spinors(spinors))
 
 
 def constellation_from_spinors(spinors) -> MajoranaConstellation:
@@ -801,13 +527,6 @@ def _mobius_polynomial(p: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-def _state_from_polynomial(p: np.ndarray, n: int) -> SymmetricState:
-    m = np.arange(n + 1)
-    weights = np.array([math.sqrt(binom(n, int(k))) for k in m])
-    coef = ((-1.0) ** m) * p / weights
-    return SymmetricState(n, coef[::-1])
-
-
 def apply_single_qubit_map(s: SymmetricState, a: np.ndarray) -> SymmetricState:
     """State after applying the same invertible 2x2 map to every qubit."""
     a = np.asarray(a, dtype=complex)
@@ -815,8 +534,9 @@ def apply_single_qubit_map(s: SymmetricState, a: np.ndarray) -> SymmetricState:
         raise ValueError("map must be 2x2")
     if abs(np.linalg.det(a)) < 1e-12 * np.linalg.norm(a) ** 2:
         raise ValueError("map is singular")
-    q = _mobius_polynomial(majorana_polynomial(s), a, s.n)
-    return _state_from_polynomial(q, s.n)
+    weights = _dicke_weights(s.n)
+    q = _mobius_polynomial(weights * s.c[::-1], a, s.n)
+    return SymmetricState(s.n, (q / weights)[::-1])
 
 
 def su2_rotate(s: SymmetricState, u: np.ndarray, tol: float = DEFAULT_TOL) -> SymmetricState:

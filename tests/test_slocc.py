@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import majorep as mj
+from majorep.stellar import REBUILD_TOL
 from oracles import collective_operator
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -130,3 +131,35 @@ class TestLocalOperation:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             mj.LocalOperation(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def _random_spinor(rng):
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return mj.Spinor(*(v / np.linalg.norm(v)))
+
+
+# Families whose structure is hard to read in double precision: an m-fold
+# point scatters its eigenvalues by eps^(1/m), up to 0.3 at m = 29, so high
+# multiplicities and nearby points interpenetrate.
+FAMILY_DRAWS = [
+    ((14, 1, 1), 25), ((15, 1), 25), ((8, 8), 25), ((7, 1), 25),
+    ((22, 1, 1), 10), ((10, 10, 10), 10),
+]
+
+
+class TestFamilyRegressions:
+    @pytest.mark.parametrize(
+        "mults,draw",
+        [(mults, draw) for mults, count in FAMILY_DRAWS for draw in range(count)],
+        ids=lambda v: "D_{" + ",".join(map(str, v)) + "}" if isinstance(v, tuple) else str(v),
+    )
+    def test_exact_label_and_rebuild(self, mults, draw):
+        rng = np.random.default_rng([sum(mults), len(mults), draw])
+        spinors = []
+        for m in mults:
+            spinors += [_random_spinor(rng)] * m
+        s = mj.symmetrize(spinors)
+        const = mj.majorana_points(s)
+        assert const.multiplicities == mults
+        assert mj.canonical_distance(mj.state_from_constellation(const).c, s.c) <= REBUILD_TOL
+        assert mj.classify(mj.su2_rotate(s, mj.random_su2(rng))).mults == mults

@@ -170,6 +170,15 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             mj.SymmetricState(2, np.zeros(3))
 
+    def test_distance_ignores_phase_of_tiny_leading_entry(self):
+        # a leading amplitude of 1e-10 whose phase is lost to rounding must not
+        # turn two equal rays into distant canonical forms
+        x = np.array([1e-10, 0.6, 0.8])
+        y = np.array([1e-10j, 0.6, 0.8])
+        assert mj.canonical_distance(x, y) <= 2e-10
+        assert mj.SymmetricState(2, x).distance(mj.SymmetricState(2, y)) <= 2e-10
+        assert mj.canonical_distance(x, -1j * x) <= 1e-15
+
 
 class TestDensityMatrix:
     def test_validation(self, rng):

@@ -1,10 +1,16 @@
+import io
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import majorep as mj
+import majorep.stellar as stellar
+from majorep import serialize
+from majorep.cli import main
 from majorep.stellar import REBUILD_TOL
 from oracles import collective_operator
 
@@ -206,3 +212,57 @@ class TestProjectiveRoot:
             a2, b2 = mj.ProjectiveRoot.from_angles(alpha, beta).angles()
             assert a2 == pytest.approx(alpha, abs=1e-12)
             assert b2 == pytest.approx(beta, abs=1e-12)
+
+
+class TestLargeN:
+    @given(st.integers(0, 10_000), st.integers(2, 128))
+    @settings(max_examples=30, deadline=None)
+    def test_roundtrip_property_to_128(self, seed, n):
+        s = random_state(seed, n)
+        back = mj.state_from_constellation(mj.majorana_points(s))
+        assert back.distance(s) <= 1e-9
+
+    def test_small_end_amplitudes_are_not_structural_zeros(self):
+        # p_m = ±sqrt(C(N, m)) c_{N-m} spans ~2^(N/2), so genuine end
+        # coefficients sit far below max|p| at N = 96
+        s = random_state(7, 96)
+        const = mj.majorana_points(s)
+        assert const.multiplicities == (1,) * 96
+        assert mj.state_from_constellation(const).distance(s) <= 1e-9
+
+    def test_polynomial_finite_at_1100(self):
+        n = 1100
+        s = random_state(3, n)
+        p = mj.majorana_polynomial(s)
+        assert np.all(np.isfinite(p))
+        log_weight = 0.5 * (math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1))
+        assert math.log(abs(p[n // 2]) / abs(s.c[n // 2])) == pytest.approx(log_weight, rel=1e-12)
+
+    def test_weights_match_exact_binomials(self):
+        for n in (1, 2, 7, 30, 61):
+            c = np.ones(n + 1) / math.sqrt(n + 1)
+            p = mj.majorana_polynomial(mj.SymmetricState(n, c))
+            expected = [(-1) ** m * math.sqrt(math.comb(n, m)) for m in range(n + 1)]
+            np.testing.assert_allclose(p, np.array(expected) / math.sqrt(n + 1), rtol=1e-14)
+
+
+class TestNoUncheckedConstellation:
+    @pytest.fixture
+    def nothing_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(stellar, "_rebuild_distance", lambda const, s: 1.0)
+
+    def test_failed_rebuild_raises(self, nothing_rebuilds):
+        with pytest.raises(mj.ConstellationError) as info:
+            mj.majorana_points(mj.ghz_state(3))
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(mj.ConstellationError):
+            mj.classify(mj.dicke_state(4, 1))
+
+    @pytest.mark.parametrize("command", ["points", "classify"])
+    def test_cli_exit_3(self, nothing_rebuilds, monkeypatch, capsys, command):
+        doc = json.dumps(serialize.state_to_dict(mj.ghz_state(3)))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert main([command]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no constellation rebuilds" in captured.err

@@ -79,8 +79,9 @@ def classify(s: SymmetricState) -> DegeneracyConfiguration:
 def apply_ilo(s: SymmetricState, a) -> SymmetricState:
     """Apply an identical invertible local operation to every qubit.
 
-    Acts through the constellation (exact Mobius substitution on the root
-    polynomial) and renormalizes; the degeneracy configuration is preserved.
+    Acts on the amplitudes without locating the roots (``apply_single_qubit_map``)
+    and renormalizes; the degeneracy configuration is preserved, up to the
+    rounding an ill-conditioned map amplifies.
     """
     op = a if isinstance(a, LocalOperation) else LocalOperation(np.asarray(a))
     if op.cond > COND_WARN:

@@ -9,9 +9,10 @@ whose roots z = tan(beta/2) e^{i alpha} are the orientations of the N
 constituent spinors (z = 0 is |0>, the north pole).  When deg P = D < N the
 remaining N - D spinors sit at the point at infinity (|1>, beta = pi), as the
 inverted-coordinate polynomial shows.  Reconstruction multiplies the root
-factors back together; collective single-qubit maps act on the coefficients
-through the exact Mobius substitution, so degenerate roots and roots at
-infinity never need to be located to rotate a state.
+factors back together; collective single-qubit maps act on the amplitudes
+(rotations through the spectrum of J_y, other maps through the exact Mobius
+substitution), so degenerate roots and roots at infinity never need to be
+located to map a state.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .states import (
     DEFAULT_TOL,
     Spinor,
     SymmetricState,
-    binom,
     canonical_distance,
     sqrt_binomials,
 )
 
 REBUILD_TOL = 1e-10
+# a structure coarser than all-simple must rebuild the state within this
+# factor of the all-simple rebuild distance (itself floored at (n + 1) eps)
+STRUCTURE_FACTOR = 16.0
 GCD_RTOL = 1e-6
 _EPS = float(np.finfo(float).eps)
 
@@ -137,6 +140,9 @@ class MajoranaConstellation:
 
     def __hash__(self):
         return hash((self.n, self.points))
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), (self.n, self.points)
 
     def __repr__(self):
         return f"MajoranaConstellation(n={self.n}, points={self.points!r})"
@@ -432,9 +438,14 @@ def majorana_points(s: SymmetricState) -> MajoranaConstellation:
     5. The all-simple constellation is the last candidate.
 
     Candidates run from the coarsest to the all-simple one; steps 3 and 4
-    are refined jointly by Gauss-Newton, and the first candidate whose
-    rebuilt state is within REBUILD_TOL of the input is returned.  Raises
-    ConstellationError when none is.
+    are refined jointly by Gauss-Newton.  A coarser candidate is returned
+    only when it explains the state at rounding level: its rebuild distance
+    is within STRUCTURE_FACTOR of the all-simple one's (floored at
+    (n + 1) eps) and within REBUILD_TOL.  A generic state squeezed by an
+    ill-conditioned map can sit within 1e-12 of a degenerate one while its
+    own roots rebuild it to 1e-15; the evidence then favours the simple
+    roots.  The all-simple constellation is returned when it rebuilds within
+    REBUILD_TOL; otherwise ConstellationError is raised.
     """
     n = s.n
     p = majorana_polynomial(s)
@@ -445,8 +456,13 @@ def majorana_points(s: SymmetricState) -> MajoranaConstellation:
     core = p[low : deg + 1]
     roots = np.roots(core[::-1])
     zz, ww, radius = _newton_disks(core, np.abs(_dicke_weights(n)[low : deg + 1]), roots)
+    simple = MajoranaConstellation(
+        n, tuple(fixed + [(ProjectiveRoot(z, w), 1) for z, w in zip(zz, ww)])
+    )
+    dist = _rebuild_distance(simple, s)
     groups = _overlap_groups(zz, ww, radius)
     if len(groups) < len(roots):
+        bound = min(REBUILD_TOL, STRUCTURE_FACTOR * max(dist, (n + 1) * _EPS))
         # disjoint groups each hold a root, so P has at least len(groups) distinct roots
         candidates = itertools.chain(
             [[(_centroid(zz[g], ww[g]), len(g)) for g in groups]],
@@ -455,18 +471,14 @@ def majorana_points(s: SymmetricState) -> MajoranaConstellation:
         for free in candidates:
             polished, _ = _joint_polish_positions(n, fixed, free, s.c)
             const = MajoranaConstellation(n, tuple(fixed + polished))
-            if _rebuild_distance(const, s) <= REBUILD_TOL:
+            if _rebuild_distance(const, s) <= bound:
                 return const
-    const = MajoranaConstellation(
-        n, tuple(fixed + [(ProjectiveRoot(z, w), 1) for z, w in zip(zz, ww)])
-    )
-    dist = _rebuild_distance(const, s)
     if not dist <= REBUILD_TOL:
         raise ConstellationError(
             f"no constellation rebuilds the state within {REBUILD_TOL:.0e} "
             f"(all-simple rebuild distance {dist:.2e})"
         )
-    return const
+    return simple
 
 
 def symmetrize(spinors, method: str = "polynomial") -> SymmetricState:
@@ -527,13 +539,48 @@ def _mobius_polynomial(p: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
+def _collective_rotation(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dicke amplitudes after the unitary u acts on every qubit, up to a global phase.
+
+    Up to phase u = Rz(alpha) Ry(beta) Rz(gamma) (``euler_su2``).  A z
+    rotation by phi multiplies the weight-k amplitude by exp(i phi (k - n/2)).
+    Ry(beta) acts as exp(-i beta J_y), and J_y = T B T^-1 with T = diag(i^k)
+    and B real symmetric tridiagonal, B[k+1, k] = sqrt((k+1)(n-k)) / 2.  B's
+    eigenvalues are exactly k - n/2, so with those and B's eigenvectors the
+    map is accurate to about n eps at any n, where substituting into the
+    root polynomial loses about 1e-8 at n = 64 to cancellation between its
+    binomially weighted terms.
+    """
+    n = len(c) - 1
+    u = u / np.sqrt(np.linalg.det(u))
+    half_sum = -np.angle(u[0, 0])  # (alpha + gamma) / 2
+    half_diff = np.angle(u[1, 0])  # (alpha - gamma) / 2
+    beta = 2.0 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
+    k = np.arange(n + 1)
+    m = k - n / 2.0
+    ladder = 0.5 * np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
+    _, vec = np.linalg.eigh(np.diag(ladder, -1) + np.diag(ladder, 1))
+    twist = np.array([1.0, 1j, -1.0, -1j])[k % 4]
+    x = np.exp(1j * (half_sum - half_diff) * m) * c / twist
+    x = twist * (vec @ (np.exp(-1j * beta * m) * (vec.T @ x)))
+    return np.exp(1j * (half_sum + half_diff) * m) * x
+
+
 def apply_single_qubit_map(s: SymmetricState, a: np.ndarray) -> SymmetricState:
-    """State after applying the same invertible 2x2 map to every qubit."""
+    """State after applying the same invertible 2x2 map to every qubit.
+
+    A map that is unitary up to scale goes through ``_collective_rotation``;
+    any other map through the exact Mobius substitution, which keeps a
+    state given by few exact amplitudes (a Dicke state) exactly degenerate.
+    """
     a = np.asarray(a, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError("map must be 2x2")
     if abs(np.linalg.det(a)) < 1e-12 * np.linalg.norm(a) ** 2:
         raise ValueError("map is singular")
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[0] - sv[1] <= 64 * _EPS * sv[0]:
+        return SymmetricState(s.n, _collective_rotation(a, s.c))
     weights = _dicke_weights(s.n)
     q = _mobius_polynomial(weights * s.c[::-1], a, s.n)
     return SymmetricState(s.n, (q / weights)[::-1])
@@ -563,6 +610,17 @@ def euler_su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz1 @ ry @ rz2
 
 
+def _wigner_d_entries(n: int, alpha: float, beta: float) -> np.ndarray:
+    """``wigner_d_column`` for l = 0..n at once, with one weight vector."""
+    l = np.arange(n + 1)
+    return (
+        sqrt_binomials(n)
+        * math.cos(beta / 2) ** (n - l)
+        * (-math.sin(beta / 2)) ** l
+        * np.exp(1j * (l - n / 2) * alpha)
+    )
+
+
 def wigner_d_column(n: int, l: int, alpha: float, beta: float) -> complex:
     """Rotation-matrix element sqrt(C(n,l)) cos^{n-l}(b/2) (-sin(b/2))^l e^{i(l-n/2)a}.
 
@@ -571,12 +629,7 @@ def wigner_d_column(n: int, l: int, alpha: float, beta: float) -> complex:
     """
     if not 0 <= l <= n:
         raise ValueError(f"index {l} outside 0..{n}")
-    return (
-        math.sqrt(binom(n, l))
-        * math.cos(beta / 2) ** (n - l)
-        * (-math.sin(beta / 2)) ** l
-        * complex(np.exp(1j * (l - n / 2) * alpha))
-    )
+    return complex(_wigner_d_entries(n, alpha, beta)[l])
 
 
 def majorana_projection(s: SymmetricState, alpha: float, beta: float) -> complex:
@@ -585,6 +638,4 @@ def majorana_projection(s: SymmetricState, alpha: float, beta: float) -> complex
     Vanishes exactly when (alpha, beta) is the orientation of any Majorana
     point of the state.
     """
-    return complex(
-        sum(s.c[s.n - l] * wigner_d_column(s.n, l, alpha, beta) for l in range(s.n + 1))
-    )
+    return complex(np.dot(s.c[::-1], _wigner_d_entries(s.n, alpha, beta)))

@@ -163,3 +163,24 @@ class TestFamilyRegressions:
         assert const.multiplicities == mults
         assert mj.canonical_distance(mj.state_from_constellation(const).c, s.c) <= REBUILD_TOL
         assert mj.classify(mj.su2_rotate(s, mj.random_su2(rng))).mults == mults
+
+
+class TestSqueezedGenericStates:
+    # A general invertible map can squeeze a generic state's roots so close
+    # together that it sits within 1e-12 of a degenerate configuration, while
+    # its own simple roots rebuild it to 1e-15.  Its family is still all-simple.
+    # The first seed's draws are perfbench's traced general-ILO probe at seed 2.
+    @pytest.mark.parametrize(
+        "seed,sizes",
+        [([2, 19], (16,) * 8 + (32,) * 4), ([16, 32], (16,) * 25 + (32,) * 25)],
+        ids=["probe-seed-2", "fixed-seed"],
+    )
+    def test_stays_all_simple(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        wrong = []
+        for i, n in enumerate(sizes):
+            s = mj.apply_ilo(mj.random_symmetric_state(n, rng), mj.random_ilo(rng))
+            mults = mj.classify(s).mults
+            if mults != (1,) * n:
+                wrong.append((i, n, mults[:3]))
+        assert wrong == []

@@ -245,6 +245,31 @@ class TestLargeN:
             expected = [(-1) ** m * math.sqrt(math.comb(n, m)) for m in range(n + 1)]
             np.testing.assert_allclose(p, np.array(expected) / math.sqrt(n + 1), rtol=1e-14)
 
+    def test_projection_finite_at_1100(self):
+        n = 1100
+        amp = mj.majorana_projection(mj.dicke_state(n, n // 2), 0.0, math.pi / 2)
+        # |d|^2 = C(n, n/2) / 2^n, the central binomial probability
+        log_expected = math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1) - n * math.log(2)
+        assert math.log(abs(amp) ** 2) == pytest.approx(log_expected, rel=1e-12)
+
+    def test_rotation_round_trip_at_128(self):
+        s = random_state(11, 128)
+        u = mj.random_su2(np.random.default_rng(12))
+        assert mj.su2_rotate(mj.su2_rotate(s, u), u.conj().T).distance(s) <= 1e-12
+
+    @pytest.mark.parametrize("mults", [(63, 1), (62, 1, 1)])
+    def test_rotated_family_at_64(self, mults):
+        # the rotation must leave a degenerate state within rounding of its
+        # family; substituting into the root polynomial lost 1e-8 here
+        rng = np.random.default_rng([64, len(mults)])
+        for _ in range(5):
+            spinors = []
+            for m in mults:
+                v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                spinors += [mj.Spinor(*(v / np.linalg.norm(v)))] * m
+            s = mj.su2_rotate(mj.symmetrize(spinors), mj.random_su2(rng))
+            assert mj.classify(s).mults == mults
+
 
 class TestNoUncheckedConstellation:
     @pytest.fixture
@@ -266,3 +291,12 @@ class TestNoUncheckedConstellation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no constellation rebuilds" in captured.err
+
+
+def test_constellation_copies_and_pickles():
+    import copy
+    import pickle
+
+    const = mj.majorana_points(random_state(5, 6))
+    assert copy.deepcopy(const) == const
+    assert pickle.loads(pickle.dumps(const)) == const
